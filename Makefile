@@ -26,7 +26,7 @@ lint:
 # shared mutable state; internal/corpus because its runner merges worker
 # outcomes under a shared checkpoint mutex).
 race: vet
-	$(GO) test -race ./internal/expr ./internal/dse ./internal/workload ./internal/fault ./internal/exec ./internal/server ./internal/analysis ./internal/cluster ./internal/lint ./internal/corpus
+	$(GO) test -race ./internal/expr ./internal/dse ./internal/workload ./internal/fault ./internal/exec ./internal/server ./internal/analysis ./internal/cluster ./internal/httpsvc ./internal/lint ./internal/corpus
 
 # Fuzz smoke: short coverage-guided runs of the scenario parser/builder,
 # the canonical-hash round trip, and the incremental-vs-cold analysis
@@ -41,9 +41,11 @@ fuzz:
 bench:
 	$(GO) test -bench 'ExpF4|ExpF5|SimulateCaseStudy' -benchmem -count=5 -run '^$$' .
 
-# Byte-identity smoke: quick tables to stdout for diffing against a baseline.
+# Byte-identity baseline: rewrite testdata/quick_tables.csv (the output of
+# rtmdm-bench -all -quick -csv) that TestGoldenQuickTables diffs against.
+# Only for a change that moves published numbers on purpose.
 golden:
-	$(GO) run ./cmd/rtmdm-bench -all -quick -csv
+	$(GO) test -run '^TestGoldenQuickTables$$' -count=1 . -update
 
 # Service smoke: build rtmdm-serve + rtmdm-loadgen, drive a live server,
 # require the cache-hit path to be >= 10x faster than cold analyze, and

@@ -69,7 +69,7 @@ var simPathSuffixes = []string{
 // ctxflow is enforced only here; cmd mains legitimately construct their
 // own root contexts.
 var ctxPathSuffixes = []string{
-	"internal/server", "internal/cluster",
+	"internal/server", "internal/cluster", "internal/httpsvc",
 }
 
 func hasPathSuffix(importPath string, suffixes []string) bool {

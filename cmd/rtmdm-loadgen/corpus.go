@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"rtmdm/internal/core"
 	"rtmdm/internal/corpus"
 	"rtmdm/internal/scenario"
 )
@@ -49,21 +50,11 @@ func newCorpusSource(arg string, count int, seed int64) (*corpusSource, error) {
 	return &corpusSource{gen: gen, seed: seed}, nil
 }
 
-// cmixv is the splitmix64 finalizer (mirrors internal/corpus).
-func cmixv(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // instance maps a variant onto a corpus item, walking forward past the
 // rare indices whose axis draw has no feasible workload.
 func (s *corpusSource) instance(variant int) (corpus.Item, bool) {
 	n := s.gen.Count()
-	idx := int(cmixv(uint64(s.seed) ^ uint64(variant)*0x9e3779b97f4a7c15) % uint64(n))
+	idx := int(core.Mix64(uint64(s.seed)^uint64(variant)*0x9e3779b97f4a7c15) % uint64(n))
 	for k := 0; k < 4; k++ {
 		it, err := s.gen.At((idx + k) % n)
 		if err == nil {
@@ -95,7 +86,7 @@ func (s *corpusSource) admitTask(variant int, name string) (scenario.TaskSpec, b
 	if !ok || len(it.Scenario.Tasks) == 0 {
 		return scenario.TaskSpec{}, false
 	}
-	t := it.Scenario.Tasks[int(cmixv(uint64(variant)*0xe7037ed1a0b428db)%uint64(len(it.Scenario.Tasks)))]
+	t := it.Scenario.Tasks[int(core.Mix64(uint64(variant)*0xe7037ed1a0b428db)%uint64(len(it.Scenario.Tasks)))]
 	t.Name = name
 	t.OffsetMs = 0
 	return t, true

@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -153,17 +154,16 @@ func (c *collector) add(s sample) {
 	c.mu.Unlock()
 }
 
+// percentile returns the nearest-rank p-th percentile of ds: the
+// smallest sample with at least p% of the samples at or below it.
 func percentile(ds []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), ds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p / 100 * float64(len(sorted)))
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[max(0, min(rank, len(sorted)-1))]
 }
 
 // client wraps the HTTP plumbing shared by all phases.
@@ -269,24 +269,26 @@ func churnRemoveBody(id uint64, node, name string) string {
 // RTA fixpoints still run cold: its segment budget depends on the task
 // count, so committed bounds are not sound starts at a new set size.)
 // Operations are skewed toward node 0 by hotFrac, exercising the term
-// LRU under a realistic hot-node pattern.
-func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time.Duration) float64 {
+// LRU under a realistic hot-node pattern. Node names carry a per-run
+// tag, so a server that already holds an earlier run's nodes starts
+// this run from empty nodes too.
+func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time.Duration) (float64, error) {
 	var reqID atomic.Uint64
-	fail := func(op string, res admitResult, status int, err error) {
-		fmt.Fprintf(os.Stderr, "rtmdm-loadgen: churn %s: status %d reason %q err %v\n",
-			op, status, res.Reason, err)
-		os.Exit(1)
+	fail := func(op string, res admitResult, status int, err error) error {
+		return fmt.Errorf("churn %s: status %d reason %q err %v", op, status, res.Reason, err)
 	}
+	runTag := strconv.FormatInt(time.Now().UnixNano(), 36)
+	churnNode := func(j int) string { return fmt.Sprintf("churn-%s-%d", runTag, j) }
 
 	var coldLat []time.Duration
 	for j := 0; j < nodes; j++ {
-		nodeName := fmt.Sprintf("churn-%d", j)
+		nodeName := churnNode(j)
 		for i := 0; i < tasksPerNode; i++ {
 			period := float64(40 + 5*(tasksPerNode-1-i))
 			name := fmt.Sprintf("t%02d", i)
 			res, status, lat, err := c.postAdmit(churnAddBody(reqID.Add(1), nodeName, name, period))
 			if err != nil || status != http.StatusOK || !res.Admitted {
-				fail("fill "+nodeName+"/"+name, res, status, err)
+				return 0, fail("fill "+nodeName+"/"+name, res, status, err)
 			}
 			coldLat = append(coldLat, lat)
 		}
@@ -302,7 +304,7 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 		if nodes > 1 && rng.Float64() >= hotFrac {
 			j = 1 + rng.Intn(nodes-1)
 		}
-		nodeName := fmt.Sprintf("churn-%d", j)
+		nodeName := churnNode(j)
 		var (
 			res    admitResult
 			status int
@@ -317,7 +319,7 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 			}
 			res, status, lat, err = c.postAdmit(churnAddBody(reqID.Add(1), nodeName, name, period))
 			if err != nil || status != http.StatusOK {
-				fail("probe add "+nodeName, res, status, err)
+				return 0, fail("probe add "+nodeName, res, status, err)
 			}
 			if !res.Admitted {
 				rejected++
@@ -330,7 +332,7 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 			}
 			res, status, lat, err = c.postAdmit(churnRemoveBody(reqID.Add(1), nodeName, name))
 			if err != nil || status != http.StatusOK {
-				fail("probe remove "+nodeName, res, status, err)
+				return 0, fail("probe remove "+nodeName, res, status, err)
 			}
 			// A remove can miss if the matching add was rejected; the
 			// cycle stays consistent either way.
@@ -347,12 +349,12 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 	fmt.Printf("churn rm   : n=%d p50=%v\n", len(removeLat), percentile(removeLat, 50))
 	if warmP50 <= 0 || len(coldLat) == 0 {
 		fmt.Println("warm speedup: n/a")
-		return 0
+		return 0, nil
 	}
 	speedup := float64(coldP50) / float64(warmP50)
 	fmt.Printf("warm speedup: %.1fx (cold fill p50 %v / warm probe p50 %v)\n",
 		speedup, coldP50, warmP50)
-	return speedup
+	return speedup, nil
 }
 
 func parseMix(spec string) (map[string]int, error) {
@@ -520,7 +522,11 @@ func main() {
 
 	if *churn {
 		rep.Mode = "churn"
-		warmSpeedup := runChurn(c, *churnNodes, *churnTasks, *hotFrac, *duration)
+		warmSpeedup, err := runChurn(c, *churnNodes, *churnTasks, *hotFrac, *duration)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rtmdm-loadgen:", err)
+			os.Exit(1)
+		}
 		rep.WarmSpeedup = warmSpeedup
 		emit()
 		if *minWarm > 0 && warmSpeedup < *minWarm {

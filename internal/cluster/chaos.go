@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rtmdm/internal/core"
 )
 
 // ChaosPartition is one asymmetric partition window: while a host's
@@ -156,33 +158,19 @@ func parsePartition(v string) (ChaosPartition, error) {
 	return p, nil
 }
 
-// chaosMix is the splitmix64 finalizer — the same bit mixer
-// internal/fault and loadgen's cluster mode use for hash decisions.
-func chaosMix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // chaosDraw hashes one decision coordinate (seed, class, host, attempt)
 // to a uniform uint64. Each fault class gets an independent draw so
 // e.g. enabling latency never shifts which attempts drop.
 func chaosDraw(seed int64, class, host string, attempt int64) uint64 {
-	h := chaosMix(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	h := core.Mix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
 	for _, s := range []string{class, host} {
 		for _, b := range []byte(s) {
-			h = chaosMix(h ^ uint64(b))
+			h = core.Mix64(h ^ uint64(b))
 		}
-		h = chaosMix(h ^ 0xff)
+		h = core.Mix64(h ^ 0xff)
 	}
-	return chaosMix(h ^ uint64(attempt))
+	return core.Mix64(h ^ uint64(attempt))
 }
-
-// chaosUnit maps a draw into [0, 1).
-func chaosUnit(d uint64) float64 { return float64(d>>11) / float64(1<<53) }
 
 // chaosErr is the injected transport failure. It satisfies net-style
 // temporary semantics only in the sense clients already handle: any
@@ -282,14 +270,14 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, &chaosErr{class: "partition-out", host: host}
 	}
-	if chaosUnit(chaosDraw(seed, "drop-out", host, n)) < t.cfg.DropOutRate {
+	if core.Unit(chaosDraw(seed, "drop-out", host, n)) < t.cfg.DropOutRate {
 		t.count("drop-out")
 		if req.Body != nil {
 			req.Body.Close()
 		}
 		return nil, &chaosErr{class: "drop-out", host: host}
 	}
-	if t.cfg.Latency > 0 && chaosUnit(chaosDraw(seed, "latency", host, n)) < t.cfg.LatencyRate {
+	if t.cfg.Latency > 0 && core.Unit(chaosDraw(seed, "latency", host, n)) < t.cfg.LatencyRate {
 		t.count("latency")
 		timer := time.NewTimer(t.cfg.Latency)
 		select {
@@ -316,15 +304,15 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body.Close()
 		return nil, &chaosErr{class: "partition-in", host: host}
 	}
-	if chaosUnit(chaosDraw(seed, "drop-in", host, n)) < t.cfg.DropInRate {
+	if core.Unit(chaosDraw(seed, "drop-in", host, n)) < t.cfg.DropInRate {
 		t.count("drop-in")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return nil, &chaosErr{class: "drop-in", host: host}
 	}
 
-	truncate := chaosUnit(chaosDraw(seed, "truncate", host, n)) < t.cfg.TruncateRate
-	corrupt := chaosUnit(chaosDraw(seed, "corrupt", host, n)) < t.cfg.CorruptRate
+	truncate := core.Unit(chaosDraw(seed, "truncate", host, n)) < t.cfg.TruncateRate
+	corrupt := core.Unit(chaosDraw(seed, "corrupt", host, n)) < t.cfg.CorruptRate
 	if !truncate && !corrupt {
 		return resp, nil
 	}

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/metrics"
 	"rtmdm/internal/scenario"
 )
@@ -292,11 +292,8 @@ type Gateway struct {
 	poolMu sync.Mutex
 	pool   map[string]*shard
 
-	// drainMu/idle track live admit-drain and lane goroutines, using the
-	// cond-over-count pattern (a WaitGroup forbids Add racing Wait).
-	drainMu sync.Mutex
-	idle    *sync.Cond
-	active  int
+	// active tracks live admit-drain and lane goroutines for Shutdown.
+	active httpsvc.Tracker
 }
 
 // NewGateway builds a ready-to-serve Gateway from cfg.
@@ -328,7 +325,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		cancel: cancel,
 		pool:   map[string]*shard{},
 	}
-	g.idle = sync.NewCond(&g.drainMu)
 	lay, err := g.newLayout(1, cfg.Shards)
 	if err != nil {
 		cancel()
@@ -347,9 +343,11 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		"POST /v1/reshard":  g.handleReshard,
 		"POST /v1/simulate": g.proxyByScenario("/v1/simulate"),
 	}
-	for _, pattern := range Routes() {
-		g.handle(pattern, handlers[pattern])
-	}
+	// The panic counter is nil: the gateway's metric family has none.
+	// Tenant quotas are acquired inside the proxied handlers, not in the
+	// middleware, so a slot's lifetime is tied to the forward that spends
+	// shard capacity, not to the client connection — see handleAdmit.
+	httpsvc.Mount(g.mux, Routes(), handlers, g.met.http)
 	return g, nil
 }
 
@@ -419,57 +417,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.Serv
 // Shutdown cancels routing and waits for in-flight admit lanes to drain.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.cancel()
-	done := make(chan struct{})
-	go func() {
-		g.drainMu.Lock()
-		for g.active > 0 {
-			g.idle.Wait()
-		}
-		g.drainMu.Unlock()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-g.active.Idle():
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func (g *Gateway) addActive() {
-	g.drainMu.Lock()
-	g.active++
-	g.drainMu.Unlock()
-}
-
-func (g *Gateway) endActive() {
-	g.drainMu.Lock()
-	g.active--
-	if g.active == 0 {
-		g.idle.Broadcast()
-	}
-	g.drainMu.Unlock()
-}
-
-// handle mounts h under the shared middleware: accounting, latency, and
-// panic-to-500. Tenant quotas are acquired inside the proxied handlers
-// (not here) so a slot's lifetime can be tied to the forward that spends
-// shard capacity, not to the client connection — see handleAdmit.
-func (g *Gateway) handle(pattern string, h http.HandlerFunc) {
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		g.met.requests.Inc()
-		g.met.inflight.Add(1)
-		defer func() {
-			g.met.inflight.Add(-1)
-			g.met.latency.Observe(time.Since(start).Nanoseconds())
-			if v := recover(); v != nil {
-				writeError(w, http.StatusInternalServerError,
-					fmt.Sprintf("gateway panic: %v\n%s", v, debug.Stack()))
-			}
-		}()
-		h(w, r)
-	})
 }
 
 func tenantOf(r *http.Request) string {
@@ -490,7 +443,7 @@ func (g *Gateway) acquireQuota(w http.ResponseWriter, r *http.Request) (func(), 
 	if !ok {
 		g.met.quotaRej.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		httpsvc.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q at its weighted in-flight cap (%d); retry shortly",
 				tenant, g.quotas.Limit(tenant)))
 		return nil, false
@@ -536,7 +489,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if degraded == len(lay.shards) {
 		out.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpsvc.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReadyz is the readiness gate, distinct from liveness: not ready
@@ -548,20 +501,15 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	epoch, migrating := g.cur.epoch, g.mig != nil
 	g.routeMu.RUnlock()
 	if migrating {
-		writeJSON(w, http.StatusServiceUnavailable,
+		httpsvc.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "reshard migration in flight", "epoch": epoch})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": epoch})
+	httpsvc.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": epoch})
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if g.cfg.Registry == nil {
-		writeError(w, http.StatusNotFound, "metrics registry not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	g.cfg.Registry.Snapshot().WriteJSON(w)
+	httpsvc.WriteMetrics(w, g.cfg.Registry)
 }
 
 // admitCall is one admission request traversing a shard's batcher: the
@@ -663,7 +611,7 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var key struct {
@@ -671,11 +619,11 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		Node      string `json:"node"`
 	}
 	if err := json.Unmarshal(body, &key); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		httpsvc.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if key.Node == "" {
-		writeError(w, http.StatusBadRequest, "node must be set")
+		httpsvc.WriteError(w, http.StatusBadRequest, "node must be set")
 		return
 	}
 	release, ok := g.acquireQuota(w, r)
@@ -690,7 +638,7 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		cl.settle()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	select {
@@ -699,10 +647,10 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		// The client is gone (or the budget fired) but the forward is
 		// already in its lane; the quota slot stays held until the lane
 		// completes it — released there, not here.
-		writeError(w, http.StatusServiceUnavailable, ctx.Err().Error())
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, ctx.Err().Error())
 		return
 	case <-g.base.Done():
-		writeError(w, http.StatusServiceUnavailable, "gateway shutting down")
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, "gateway shutting down")
 		return
 	}
 	g.writeProxied(w, lay, sh, cl.res, cl.err)
@@ -718,7 +666,7 @@ func (g *Gateway) proxyByScenario(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		release, ok := g.acquireQuota(w, r)
@@ -830,7 +778,7 @@ func (g *Gateway) writeProxied(w http.ResponseWriter, lay *layout, sh *shard, re
 	if err != nil {
 		g.met.shardErrs.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s): %v", idx, sh.base, err))
+		httpsvc.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s): %v", idx, sh.base, err))
 		return
 	}
 	if res.cache != "" {
@@ -1026,7 +974,7 @@ func (sh *shard) enqueue(cl *admitCall) {
 	sh.pending = append(sh.pending, cl)
 	if !sh.draining {
 		sh.draining = true
-		sh.gw.addActive()
+		sh.gw.active.Add()
 		go sh.drainAdmits()
 	}
 	sh.amu.Unlock()
@@ -1084,7 +1032,7 @@ func (sh *shard) busyNodes(keep func(string) bool) []string {
 // requests for different nodes fan out in parallel under the shard's
 // in-flight bound. Loops until the queue is empty.
 func (sh *shard) drainAdmits() {
-	defer sh.gw.endActive()
+	defer sh.gw.active.Done()
 	for {
 		sh.waitWindow()
 		sh.amu.Lock()
@@ -1106,7 +1054,7 @@ func (sh *shard) drainAdmits() {
 			sh.lanes[cl.node] = append(sh.lanes[cl.node], cl)
 			if !sh.laneActive[cl.node] {
 				sh.laneActive[cl.node] = true
-				sh.gw.addActive()
+				sh.gw.active.Add()
 				go sh.runLane(cl.node)
 			}
 		}
@@ -1135,7 +1083,7 @@ func (sh *shard) waitWindow() {
 // shard capacity completes — regardless of whether the client is still
 // listening.
 func (sh *shard) runLane(node string) {
-	defer sh.gw.endActive()
+	defer sh.gw.active.Done()
 	for {
 		sh.amu.Lock()
 		q := sh.lanes[node]
@@ -1155,14 +1103,4 @@ func (sh *shard) runLane(node string) {
 		cl.settle()
 		close(cl.done)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rtmdm/internal/httpsvc"
+	"rtmdm/internal/metrics"
 )
 
 func newTestGateway(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
@@ -436,6 +439,27 @@ func TestGatewayRejectsBadAdmit(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/admit", `not json`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unparseable admit: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestGatewayPanicHidesStack pins the gateway's panic path: a 500 JSON
+// error with the panic value and no stack trace, and the in-flight
+// gauge back at zero.
+func TestGatewayPanicHidesStack(t *testing.T) {
+	reg := metrics.NewRegistry()
+	gw, ts := newTestGateway(t, Config{Shards: []string{"http://127.0.0.1:1"}, Registry: reg})
+	httpsvc.Mount(gw.mux, []string{"GET /boom"}, map[string]http.HandlerFunc{
+		"GET /boom": func(http.ResponseWriter, *http.Request) { panic("kaboom") },
+	}, gw.met.http)
+	resp, body := getJSON(t, ts.URL+"/boom")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d; want 500", resp.StatusCode)
+	}
+	if got := strings.TrimSpace(string(body)); got != `{"error":"internal error: kaboom"}` {
+		t.Fatalf("body %q; want the panic value and no stack", got)
+	}
+	if m, _ := reg.Snapshot().Get("gateway.requests_inflight"); m.Value != 0 {
+		t.Fatalf("gateway.requests_inflight = %d after the panic; want 0", m.Value)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync/atomic"
 
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/metrics"
 )
 
@@ -63,9 +64,7 @@ func RecordHandoffConflict() { cinstr.Load().handoffConflicts.Inc() }
 // GatewayMetrics holds the gateway.* instrument handles. All fields are
 // nil-safe, so a gateway built without a registry pays only nil checks.
 type GatewayMetrics struct {
-	requests     *metrics.Counter
-	inflight     *metrics.Gauge
-	latency      *metrics.Histogram
+	http         httpsvc.Instruments
 	retries      *metrics.Counter
 	shardErrs    *metrics.Counter
 	degraded     *metrics.Gauge
@@ -95,9 +94,11 @@ func RegisterMetrics(r *metrics.Registry) *GatewayMetrics {
 		return &GatewayMetrics{}
 	}
 	return &GatewayMetrics{
-		requests:   r.Counter("gateway.requests_total", "requests", "HTTP requests received by the gateway across all routes"),
-		inflight:   r.Gauge("gateway.requests_inflight", "requests", "gateway requests currently being served"),
-		latency:    r.Histogram("gateway.request_latency_ns", "ns", "wall latency per gateway request, shard round trips included", gatewayLatencyBounds),
+		http: httpsvc.Instruments{
+			Requests: r.Counter("gateway.requests_total", "requests", "HTTP requests received by the gateway across all routes"),
+			Inflight: r.Gauge("gateway.requests_inflight", "requests", "gateway requests currently being served"),
+			Latency:  r.Histogram("gateway.request_latency_ns", "ns", "wall latency per gateway request, shard round trips included", gatewayLatencyBounds),
+		},
 		retries:    r.Counter("gateway.proxy_retries", "attempts", "shard request attempts retried after a transport error or 5xx"),
 		shardErrs:  r.Counter("gateway.shard_errors", "requests", "proxied requests that exhausted their retry budget against a shard"),
 		degraded:   r.Gauge("gateway.shards_degraded", "shards", "shards currently marked degraded by the failure breaker"),

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 
+	"rtmdm/internal/core"
 	"rtmdm/internal/cost"
 	"rtmdm/internal/fault"
 	"rtmdm/internal/scenario"
@@ -29,19 +30,6 @@ const (
 	axisWorkloadSeed
 	axisFaultSeed
 )
-
-// mix64 is the splitmix64 finalizer (same constants as internal/fault).
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// unit maps a hash to a uniform float64 in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // faultProfiles are the named fault.Config templates the fault_profiles
 // axis selects from; the per-scenario fault seed is drawn separately.
@@ -151,9 +139,9 @@ func (g *Generator) Count() int { return g.spec.Count }
 
 // draw hashes one decision coordinate into a uniform uint64.
 func (g *Generator) draw(axis uint64, index int, sub int64) uint64 {
-	h := g.seed ^ mix64(axis*0xa24baed4963ee407)
-	h = mix64(h ^ uint64(index)*0x9fb21c651e98df25)
-	return mix64(h ^ uint64(sub)*0xe7037ed1a0b428db)
+	h := g.seed ^ core.Mix64(axis*0xa24baed4963ee407)
+	h = core.Mix64(h ^ uint64(index)*0x9fb21c651e98df25)
+	return core.Mix64(h ^ uint64(sub)*0xe7037ed1a0b428db)
 }
 
 // pick selects list[h % len] — axis lists act as weights.
@@ -177,7 +165,7 @@ func (g *Generator) At(i int) (Item, error) {
 		Platform:     pickS(s.Platforms, g.draw(axisPlatform, i, 0)),
 		HorizonMs:    pickF(s.HorizonsMs, g.draw(axisHorizon, i, 0)),
 		DeadlineFrac: pickF(s.DeadlineFracs, g.draw(axisDeadline, i, 0)),
-		Offsets:      unit(g.draw(axisOffsetGate, i, 0)) < s.OffsetFrac,
+		Offsets:      core.Unit(g.draw(axisOffsetGate, i, 0)) < s.OffsetFrac,
 		FaultProfile: pickS(s.FaultProfiles, g.draw(axisFaultProfile, i, 0)),
 	}
 	if ax.FaultProfile != "none" {
@@ -263,7 +251,7 @@ func (g *Generator) toScenario(i int, ax *Axes, sp workload.SetSpec) *scenario.S
 		if ax.Offsets {
 			// Offsets up to half the period, quantized to 10µs so the
 			// serialized floats stay short and exact.
-			frac := unit(g.draw(axisOffset, i, int64(t)))
+			frac := core.Unit(g.draw(axisOffset, i, int64(t)))
 			offNs := int64(frac * 0.5 * float64(ts.Period)) //lint:allow millitime -- offset draw: periods are µs-scale, far below 2^53 ns
 			offNs -= offNs % 10_000
 			spec.OffsetMs = float64(offNs) / float64(sim.Millisecond) //lint:allow millitime -- scenario-file boundary: offsets serialized as float ms

@@ -427,7 +427,7 @@ func (r *runner) scheduleRelease(rt *rtask, k int) {
 }
 
 // releaseJitter derives a deterministic delay in [0, max] from the task
-// name and job index (splitmix64-style hash), so jittered runs stay
+// name and job index (FNV-1a, then core.Mix64), so jittered runs stay
 // bit-reproducible.
 //
 //rtmdm:hotpath
@@ -439,12 +439,7 @@ func releaseJitter(name string, k int, max sim.Duration) sim.Duration {
 	for _, c := range name {
 		h = (h ^ uint64(c)) * 1099511628211
 	}
-	h ^= uint64(k) * 0x9e3779b97f4a7c15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
+	h = core.Mix64(h ^ uint64(k)*0x9e3779b97f4a7c15)
 	return sim.Duration(h % uint64(max+1))
 }
 

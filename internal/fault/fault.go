@@ -196,7 +196,7 @@ func New(cfg Config, horizon sim.Duration) (*Plan, error) {
 		seed = 1
 	}
 	p := &Plan{
-		seed:        mix64(uint64(seed) * 0x9e3779b97f4a7c15),
+		seed:        core.Mix64(uint64(seed) * 0x9e3779b97f4a7c15),
 		overrunRate: cfg.OverrunRate,
 		jitterRate:  cfg.ReleaseJitterRate,
 		jitterMaxNs: int64(cfg.ReleaseJitterMaxMs * 1e6),
@@ -259,30 +259,17 @@ func New(cfg Config, horizon sim.Duration) (*Plan, error) {
 	return p, nil
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, high-quality bijective mixer.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // draw hashes one decision point into a uniform uint64.
 func (p *Plan) draw(class uint64, task string, a, b, c int64) uint64 {
-	h := p.seed ^ mix64(class)
+	h := p.seed ^ core.Mix64(class)
 	for i := 0; i < len(task); i++ {
 		h = (h ^ uint64(task[i])) * 1099511628211 // FNV-1a step
 	}
-	h = mix64(h ^ uint64(a)*0xa24baed4963ee407)
-	h = mix64(h ^ uint64(b)*0x9fb21c651e98df25)
-	h = mix64(h ^ uint64(c)*0xc2b2ae3d27d4eb4f)
+	h = core.Mix64(h ^ uint64(a)*0xa24baed4963ee407)
+	h = core.Mix64(h ^ uint64(b)*0x9fb21c651e98df25)
+	h = core.Mix64(h ^ uint64(c)*0xc2b2ae3d27d4eb4f)
 	return h
 }
-
-// unit maps a hash to a uniform float in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // OverrunExtraNs returns the extra compute time injected into segment seg of
 // job (task, job), or 0 when the segment runs at its modeled WCET.
@@ -294,7 +281,7 @@ func (p *Plan) OverrunExtraNs(task string, job, seg int, computeNs int64) int64 
 	if r, ok := p.taskOverrun[task]; ok {
 		rate = r
 	}
-	if rate <= 0 || unit(p.draw(classOverrun, task, int64(job), int64(seg), 0)) >= rate {
+	if rate <= 0 || core.Unit(p.draw(classOverrun, task, int64(job), int64(seg), 0)) >= rate {
 		return 0
 	}
 	milli := p.factorMilliLo
@@ -309,7 +296,7 @@ func (p *Plan) ReleaseDelay(task string, job int) sim.Duration {
 	if p == nil || p.jitterRate <= 0 || p.jitterMaxNs <= 0 {
 		return 0
 	}
-	if unit(p.draw(classJitter, task, int64(job), 0, 0)) >= p.jitterRate {
+	if core.Unit(p.draw(classJitter, task, int64(job), 0, 0)) >= p.jitterRate {
 		return 0
 	}
 	return sim.Duration(p.draw(classJitAmt, task, int64(job), 0, 0) % uint64(p.jitterMaxNs+1))
@@ -358,7 +345,7 @@ func (p *Plan) TransferFaulty(task string, job, seg int, chunkOff int64, attempt
 	if p == nil || p.xferRate <= 0 || attempt >= p.maxRetry {
 		return false
 	}
-	return unit(p.draw(classXfer, task, int64(job), int64(seg), chunkOff*131+int64(attempt))) < p.xferRate
+	return core.Unit(p.draw(classXfer, task, int64(job), int64(seg), chunkOff*131+int64(attempt))) < p.xferRate
 }
 
 // RetryBackoffNs returns the backoff before retry attempt n (1-based),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rtmdm/internal/analysis"
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/scenario"
 	"rtmdm/internal/sim"
 )
@@ -100,50 +101,18 @@ type admitter struct {
 	base   context.Context
 	met    *Metrics
 
-	// drainMu/idle guard the live drain-goroutine count. A plain
-	// WaitGroup would race: drains are added from request handlers,
-	// which can overlap a Wait during shutdown, and WaitGroup forbids
-	// a 0→1 Add concurrent with Wait.
-	drainMu sync.Mutex
-	idle    *sync.Cond
-	active  int
+	// drains tracks live drain goroutines for Shutdown.
+	drains httpsvc.Tracker
 }
 
 func newAdmitter(base context.Context, window time.Duration, eval evalFunc, met *Metrics) *admitter {
-	a := &admitter{
+	return &admitter{
 		nodes:  make(map[string]*node),
 		window: window,
 		eval:   eval,
 		base:   base,
 		met:    met,
 	}
-	a.idle = sync.NewCond(&a.drainMu)
-	return a
-}
-
-func (a *admitter) addDrain() {
-	a.drainMu.Lock()
-	a.active++
-	a.drainMu.Unlock()
-}
-
-func (a *admitter) endDrain() {
-	a.drainMu.Lock()
-	a.active--
-	if a.active == 0 {
-		a.idle.Broadcast()
-	}
-	a.drainMu.Unlock()
-}
-
-// waitIdle blocks until no drain goroutine is live. Meaningful once new
-// submissions have stopped (shutdown ordering).
-func (a *admitter) waitIdle() {
-	a.drainMu.Lock()
-	for a.active > 0 {
-		a.idle.Wait()
-	}
-	a.drainMu.Unlock()
 }
 
 func (a *admitter) node(name string) *node {
@@ -175,7 +144,7 @@ func (a *admitter) submit(ctx context.Context, req AdmitRequest) (AdmitResponse,
 		n.pending = append(n.pending, cl)
 		if !n.draining {
 			n.draining = true
-			a.addDrain()
+			a.drains.Add()
 			go a.drain(n)
 		}
 		n.mu.Unlock()
@@ -194,7 +163,7 @@ func (a *admitter) submit(ctx context.Context, req AdmitRequest) (AdmitResponse,
 // by (RequestID, task name), and decides them sequentially against the
 // evolving committed set.
 func (a *admitter) drain(n *node) {
-	defer a.endDrain()
+	defer a.drains.Done()
 	for {
 		a.wait()
 		n.mu.Lock()

@@ -65,7 +65,7 @@ func TestAdmitSequential(t *testing.T) {
 	if got := a.committedTasks("n0"); !reflect.DeepEqual(got, []string{"t0", "t1"}) {
 		t.Fatalf("committed %v; want [t0 t1]", got)
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }
 
 func TestAdmitDuplicateName(t *testing.T) {
@@ -81,7 +81,7 @@ func TestAdmitDuplicateName(t *testing.T) {
 	if resp.Admitted {
 		t.Fatal("duplicate task name admitted")
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }
 
 func TestAdmitBindingConflict(t *testing.T) {
@@ -105,7 +105,7 @@ func TestAdmitBindingConflict(t *testing.T) {
 	if got := a.committedTasks("n0"); !reflect.DeepEqual(got, []string{"t0"}) {
 		t.Fatalf("committed %v; want [t0]", got)
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }
 
 // TestAdmitConcurrentDeterministic is the -race determinism pin: N
@@ -127,7 +127,7 @@ func TestAdmitConcurrentDeterministic(t *testing.T) {
 		wantAdmit[i] = resp.Admitted
 	}
 	want := seq.committedTasks("ref")
-	seq.waitIdle()
+	seq.drains.Wait()
 
 	for round := 0; round < 3; round++ {
 		// A generous window so every racing goroutine lands in one batch
@@ -148,7 +148,7 @@ func TestAdmitConcurrentDeterministic(t *testing.T) {
 			}(i)
 		}
 		race.Wait()
-		a.waitIdle()
+		a.drains.Wait()
 		if got := a.committedTasks("node"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: committed %v; want %v", round, got, want)
 		}
@@ -177,7 +177,7 @@ func TestAdmitRealEvaluator(t *testing.T) {
 	if len(resp.WCRTNs) == 0 || resp.WCRTNs["kws"] <= 0 {
 		t.Fatalf("no WCRT bound in response: %+v", resp)
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }
 
 // TestAdmitRemove covers the removal op: dropping a committed task frees
@@ -217,7 +217,7 @@ func TestAdmitRemove(t *testing.T) {
 	if resp, _ := a.submit(ctx, admitReq(5, "n0", "t1")); !resp.Admitted {
 		t.Fatalf("admit after removal rejected: %s", resp.Reason)
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }
 
 // TestAdmitIncrementalWarm drives the production analyzer through a
@@ -297,5 +297,5 @@ func TestAdmitIncrementalWarm(t *testing.T) {
 	if got := counterValue(t, reg, "server.admit_warm"); got != warmBefore {
 		t.Fatalf("prefetch-policy additions warm-started (admit_warm %d -> %d); unsound across set sizes", warmBefore, got)
 	}
-	a.waitIdle()
+	a.drains.Wait()
 }

@@ -11,6 +11,7 @@ import (
 	"rtmdm/internal/analysis"
 	"rtmdm/internal/core"
 	"rtmdm/internal/exec"
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/scenario"
 	"rtmdm/internal/trace"
 )
@@ -46,12 +47,12 @@ type AnalyzeResponse struct {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sc, hash, err := s.parseScenario(req.Scenario)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	policies := req.Policies
@@ -60,7 +61,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, p := range policies {
 		if _, err := core.PolicyByName(p); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -143,12 +144,12 @@ type SimulateResponse struct {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sc, hash, err := s.parseScenario(req.Scenario)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := fmt.Sprintf("simulate\x00%s\x00trace=%t", hash, req.IncludeTrace)
@@ -214,23 +215,23 @@ func simulateScenario(ctx context.Context, sc *scenario.Scenario, hash string, i
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.RequestID == 0 {
-		writeError(w, http.StatusBadRequest, "request_id must be a positive integer")
+		httpsvc.WriteError(w, http.StatusBadRequest, "request_id must be a positive integer")
 		return
 	}
 	if req.Node == "" {
-		writeError(w, http.StatusBadRequest, "node must be set")
+		httpsvc.WriteError(w, http.StatusBadRequest, "node must be set")
 		return
 	}
 	if req.Task.Name == "" {
-		writeError(w, http.StatusBadRequest, "task.name must be set")
+		httpsvc.WriteError(w, http.StatusBadRequest, "task.name must be set")
 		return
 	}
 	if req.HorizonMs > s.cfg.MaxHorizonMs {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+		httpsvc.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
 			"horizon %v ms exceeds the server bound %v ms", req.HorizonMs, s.cfg.MaxHorizonMs))
 		return
 	}
@@ -240,18 +241,18 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if err == errBusy {
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
+		httpsvc.WriteError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	defer release()
 	resp, err := s.adm.submit(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpsvc.WriteJSON(w, http.StatusOK, resp)
 }

@@ -84,7 +84,7 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 	}
 
 	// B's state has diverged: the original import must now conflict.
-	srvB.adm.waitIdle()
+	srvB.adm.drains.Wait()
 	resp, _ = importHTTP(t, tsB.URL, body)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("import over diverged state: status %d, want 409", resp.StatusCode)
@@ -104,7 +104,7 @@ func TestHandoffReleaseHashGuard(t *testing.T) {
 	if r, body := post(t, ts.URL+"/v1/admit", snapAddBody(60, "alpha", "late", 90)); r.StatusCode != http.StatusOK {
 		t.Fatalf("mutating admit: status %d: %s", r.StatusCode, body)
 	}
-	srv.adm.waitIdle()
+	srv.adm.drains.Wait()
 	resp, _ := importHTTP(t, ts.URL, releaseBody("alpha", hash))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale release: status %d, want 409", resp.StatusCode)
@@ -144,7 +144,7 @@ func TestHandoffReleaseHashGuard(t *testing.T) {
 func TestHandoffReleasedNodeRebindsCold(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	fillNodes(t, ts.URL)
-	srv.adm.waitIdle()
+	srv.adm.drains.Wait()
 	_, snap := exportNodeHTTP(t, ts.URL, "alpha")
 	if resp, _ := importHTTP(t, ts.URL, releaseBody("alpha", snap.Nodes[0].Hash)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("release failed: %d", resp.StatusCode)

@@ -1,18 +1,18 @@
 package server
 
-import "rtmdm/internal/metrics"
+import (
+	"rtmdm/internal/httpsvc"
+	"rtmdm/internal/metrics"
+)
 
 // Metrics holds the server's instrument handles. All fields are nil-safe
 // (a nil registry yields nil instruments whose methods no-op), so a
 // server built without a registry pays only a nil check per event.
 type Metrics struct {
-	requests   *metrics.Counter
-	inflight   *metrics.Gauge
+	http       httpsvc.Instruments
 	queueDepth *metrics.Gauge
 	rejected   *metrics.Counter
 	timeouts   *metrics.Counter
-	panics     *metrics.Counter
-	latency    *metrics.Histogram
 
 	cacheHits      *metrics.Counter
 	cacheMisses    *metrics.Counter
@@ -41,13 +41,15 @@ func RegisterMetrics(r *metrics.Registry) *Metrics {
 		return &Metrics{}
 	}
 	return &Metrics{
-		requests:   r.Counter("server.requests_total", "requests", "HTTP requests received across all routes"),
-		inflight:   r.Gauge("server.requests_inflight", "requests", "HTTP requests currently being served"),
+		http: httpsvc.Instruments{
+			Requests: r.Counter("server.requests_total", "requests", "HTTP requests received across all routes"),
+			Inflight: r.Gauge("server.requests_inflight", "requests", "HTTP requests currently being served"),
+			Latency:  r.Histogram("server.request_latency_ns", "ns", "wall latency per HTTP request", latencyBounds),
+			Panics:   r.Counter("server.panics_recovered", "panics", "handler panics converted to 500 responses"),
+		},
 		queueDepth: r.Gauge("server.queue_depth", "requests", "compute requests admitted to the worker pool (running + queued)"),
 		rejected:   r.Counter("server.rejected_busy", "requests", "compute requests refused with 429 because the pool queue was full"),
 		timeouts:   r.Counter("server.request_timeouts", "requests", "compute requests aborted by the per-request deadline"),
-		panics:     r.Counter("server.panics_recovered", "panics", "handler panics converted to 500 responses"),
-		latency:    r.Histogram("server.request_latency_ns", "ns", "wall latency per HTTP request", latencyBounds),
 
 		cacheHits:      r.Counter("server.cache_hits", "requests", "compute requests served from the result cache"),
 		cacheMisses:    r.Counter("server.cache_misses", "requests", "compute requests that ran as singleflight leaders"),

@@ -18,12 +18,11 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"rtmdm/internal/exec"
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/metrics"
 	"rtmdm/internal/scenario"
 )
@@ -160,9 +159,7 @@ func New(cfg Config) *Server {
 		"POST /v1/import":   s.handleImport,
 		"POST /v1/simulate": s.handleSimulate,
 	}
-	for _, pattern := range Routes() {
-		s.handle(pattern, handlers[pattern])
-	}
+	httpsvc.Mount(s.mux, Routes(), handlers, s.met.http)
 	s.ready.Store(true)
 	return s
 }
@@ -183,8 +180,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // if the drain outlived ctx (work is still aborted via cancellation).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	done := make(chan struct{})
-	go func() { s.adm.waitIdle(); close(done) }()
+	done := s.adm.drains.Idle()
 	select {
 	case <-done:
 		s.cancel()
@@ -196,30 +192,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handle mounts h under the shared middleware: request accounting,
-// latency observation, and panic-to-500 recovery. A recovered panic is
-// wrapped in exec.InternalError so the response carries the same
-// structured shape the executor's own boundary produces.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.met.requests.Inc()
-		s.met.inflight.Add(1)
-		defer func() {
-			s.met.inflight.Add(-1)
-			s.met.latency.Observe(time.Since(start).Nanoseconds())
-			if v := recover(); v != nil {
-				s.met.panics.Inc()
-				ie := &exec.InternalError{Panic: v, Stack: string(debug.Stack())}
-				writeError(w, http.StatusInternalServerError, ie.Error())
-			}
-		}()
-		h(w, r)
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpsvc.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe, distinct from liveness: 200 only
@@ -227,23 +201,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // alive (healthz 200) but not ready (readyz 503).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+		httpsvc.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	httpsvc.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.Registry == nil {
-		writeError(w, http.StatusNotFound, "metrics registry not enabled")
-		return
-	}
 	s.met.queueDepth.Set(int64(s.pool.depth()))
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.cfg.Registry.Snapshot().WriteJSON(w); err != nil {
-		// Headers are gone; nothing recoverable remains.
-		return
-	}
+	httpsvc.WriteMetrics(w, s.cfg.Registry)
 }
 
 // handleSnapshotHTTP serves the sealed admission snapshot — the state a
@@ -253,7 +219,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleSnapshotHTTP(w http.ResponseWriter, _ *http.Request) {
 	snap, err := s.ExportState(s.cfg.ShardLabel)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpsvc.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -282,16 +248,16 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, fn 
 	case err == errBusy:
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
+		httpsvc.WriteError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
 	case err == context.DeadlineExceeded:
 		s.met.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+		httpsvc.WriteError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 	case err == context.Canceled:
 		// The client went away (or the server is shutting down); a
 		// status for the log is all that is left to send.
-		writeError(w, http.StatusServiceUnavailable, "request canceled")
+		httpsvc.WriteError(w, http.StatusServiceUnavailable, "request canceled")
 	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		httpsvc.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
@@ -318,16 +284,6 @@ func (s *Server) parseScenario(raw json.RawMessage) (*scenario.Scenario, string,
 		return nil, "", err
 	}
 	return canon, hash, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // decodeBody decodes a JSON request body strictly (unknown fields are

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rtmdm/internal/httpsvc"
 	"rtmdm/internal/metrics"
 )
 
@@ -269,9 +270,16 @@ func TestRequestTimeout504(t *testing.T) {
 	}
 }
 
+// TestPanicRecovery drives a panicking route through the shared
+// middleware: the client gets a 500 JSON error carrying the panic value
+// but no stack, the in-flight gauge returns to zero, and the panic is
+// counted once.
 func TestPanicRecovery(t *testing.T) {
-	srv := New(Config{})
-	srv.handle("GET /boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
+	reg := metrics.NewRegistry()
+	srv := New(Config{Registry: reg})
+	httpsvc.Mount(srv.mux, []string{"GET /boom"}, map[string]http.HandlerFunc{
+		"GET /boom": func(http.ResponseWriter, *http.Request) { panic("kaboom") },
+	}, srv.met.http)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/boom")
@@ -283,8 +291,19 @@ func TestPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d; want 500", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), "kaboom") {
-		t.Fatalf("error body %q does not carry the panic value", body)
+	var got map[string]string
+	if err := json.Unmarshal(body, &got); err != nil || got["error"] != "internal error: kaboom" {
+		t.Fatalf("body %q (decode err %v); want {\"error\": \"internal error: kaboom\"}", body, err)
+	}
+	if strings.Contains(string(body), "goroutine") {
+		t.Fatalf("body %q leaks a stack trace", body)
+	}
+	snap := reg.Snapshot()
+	if m, _ := snap.Get("server.requests_inflight"); m.Value != 0 {
+		t.Fatalf("server.requests_inflight = %d after the panic; want 0", m.Value)
+	}
+	if m, _ := snap.Get("server.panics_recovered"); m.Value != 1 {
+		t.Fatalf("server.panics_recovered = %d; want 1", m.Value)
 	}
 }
 
