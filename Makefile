@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify vet lint race fuzz bench golden smoke cluster-smoke corpus-smoke
+.PHONY: verify vet lint race fuzz bench golden smoke cluster-smoke corpus-smoke perfbench-test
 
 # Tier-1: build + full test suite.
 verify:
@@ -48,8 +48,8 @@ golden:
 	$(GO) test -run '^TestGoldenQuickTables$$' -count=1 . -update
 
 # Service smoke: build rtmdm-serve + rtmdm-loadgen, drive a live server,
-# require the cache-hit path to be >= 10x faster than cold analyze, and
-# assert a clean drain on SIGTERM. See docs/SERVER.md.
+# require every repeat analyze to hit the cache and beat cold analyze at
+# p50, and assert a clean drain on SIGTERM. See docs/SERVER.md.
 smoke:
 	./scripts/smoke.sh
 
@@ -66,3 +66,9 @@ cluster-smoke:
 # See docs/CORPUS.md.
 corpus-smoke:
 	./scripts/corpus_smoke.sh
+
+# Benchmark module tests: perfbench/ is its own Go module (it reaches the
+# repo through `replace rtmdm => ../`), so the root `go test ./...` does
+# not run them. See perfbench/README.md.
+perfbench-test:
+	cd perfbench && $(GO) test ./...

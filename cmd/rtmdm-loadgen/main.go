@@ -6,7 +6,7 @@
 //
 //	rtmdm-loadgen -url http://localhost:8080 [-concurrency 8]
 //	              [-duration 10s] [-mix analyze=4,simulate=4,admit=2]
-//	              [-cold 16] [-quick] [-min-speedup 0]
+//	              [-cold 16] [-quick] [-min-speedup 0] [-min-hit-ratio 0]
 //	rtmdm-loadgen -url http://localhost:8080 -churn [-churn-nodes 4]
 //	              [-churn-tasks 16] [-hot-frac 0.7] [-min-warm-speedup 0]
 //
@@ -14,7 +14,9 @@
 // cold (cache-miss) and hot (cache-hit) analyze paths on distinct
 // scenarios, then a mixed-load phase at the requested concurrency.
 // -quick shrinks both for CI smoke tests; -min-speedup N fails the
-// process if the measured cache speedup is below N×.
+// process if the measured cache speedup is below N×, and -min-hit-ratio
+// R if fewer than that fraction of the calibration's repeat analyzes
+// come back as cache hits.
 //
 // -churn replaces both phases with an admission churn run against the
 // server's incremental analyzers: a fill phase commits a task set per
@@ -107,6 +109,7 @@ type report struct {
 	Shards       []shardReport      `json:"shards,omitempty"`
 	Tenants      []tenantReport     `json:"tenants,omitempty"`
 	CacheSpeedup float64            `json:"cache_speedup,omitempty"`
+	HitRatio     float64            `json:"cache_hit_ratio,omitempty"`
 	WarmSpeedup  float64            `json:"warm_speedup,omitempty"`
 	ChaosKills   int                `json:"chaos_kills,omitempty"`
 
@@ -403,6 +406,7 @@ func main() {
 		cold        = flag.Int("cold", 16, "distinct scenarios in the calibration phase")
 		quick       = flag.Bool("quick", false, "CI smoke preset: -concurrency 4 -duration 2s -cold 8")
 		minSpeedup  = flag.Float64("min-speedup", 0, "fail unless cache speedup (cold p50 / hit p50) reaches this factor")
+		minHitRatio = flag.Float64("min-hit-ratio", 0, "fail unless this fraction of the calibration's repeat analyzes are cache hits")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request client timeout")
 		healthWait  = flag.Duration("health-wait", 10*time.Second, "how long to wait for /healthz")
 
@@ -537,8 +541,8 @@ func main() {
 		return
 	}
 
-	speedup := calibrate(c, *cold)
-	rep.CacheSpeedup = speedup
+	speedup, hitRatio := calibrate(c, *cold)
+	rep.CacheSpeedup, rep.HitRatio = speedup, hitRatio
 	runMixed(c, mix, *concurrency, *duration, rep)
 	emit()
 
@@ -549,11 +553,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtmdm-loadgen: cache speedup %.1fx below required %.1fx\n", speedup, *minSpeedup)
 		os.Exit(1)
 	}
+	if hitRatio < *minHitRatio {
+		fmt.Fprintf(os.Stderr, "rtmdm-loadgen: cache hit ratio %.2f below required %.2f\n", hitRatio, *minHitRatio)
+		os.Exit(1)
+	}
 }
 
 // calibrate measures the cold (miss) and hot (hit) analyze paths and
-// returns the p50 speedup factor.
-func calibrate(c *client, cold int) float64 {
+// returns the p50 speedup factor and the fraction of repeat analyzes
+// served as cache hits.
+func calibrate(c *client, cold int) (float64, float64) {
 	var coldLat, hotLat []time.Duration
 	for i := 0; i < cold; i++ {
 		status, cache, lat, err := c.post("/v1/analyze", analyzeBody(i))
@@ -579,15 +588,19 @@ func calibrate(c *client, cold int) float64 {
 		}
 	}
 	coldP50, hotP50 := percentile(coldLat, 50), percentile(hotLat, 50)
+	hitRatio := 0.0
+	if cold > 0 {
+		hitRatio = float64(len(hotLat)) / float64(hotRounds*cold)
+	}
 	fmt.Printf("cold analyze: n=%d p50=%v p90=%v\n", len(coldLat), coldP50, percentile(coldLat, 90))
-	fmt.Printf("hot  analyze: n=%d p50=%v p90=%v\n", len(hotLat), hotP50, percentile(hotLat, 90))
+	fmt.Printf("hot  analyze: n=%d p50=%v p90=%v hit ratio %.2f\n", len(hotLat), hotP50, percentile(hotLat, 90), hitRatio)
 	if hotP50 <= 0 || len(coldLat) == 0 {
 		fmt.Println("cache speedup: n/a")
-		return 0
+		return 0, hitRatio
 	}
 	speedup := float64(coldP50) / float64(hotP50)
 	fmt.Printf("cache speedup: %.1fx (cold p50 %v / hit p50 %v)\n", speedup, coldP50, hotP50)
-	return speedup
+	return speedup, hitRatio
 }
 
 // runMixed fires the weighted endpoint mix from concurrent workers for

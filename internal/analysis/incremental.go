@@ -140,7 +140,7 @@ func admitTest(ctx context.Context, pol core.Policy) (func(*task.Set, cost.Platf
 // path runs the analyzer, which falls back to this function when its warm
 // state cannot apply.
 func EvaluateScenario(ctx context.Context, sc *scenario.Scenario) (Verdict, error) {
-	set, plat, pol, err := sc.Build()
+	set, plat, pol, err := sc.BuildTiming()
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -457,7 +457,7 @@ func (a *IncrementalAnalyzer) Evaluate(ctx context.Context, sc *scenario.Scenari
 		return Verdict{}, st, err
 	}
 
-	// Assemble the candidate set from cached builds, replicating Build's
+	// Assemble the candidate set from cached builds, replicating BuildTiming's
 	// error order exactly: per-task build errors in spec order, then the
 	// pinned-mix check, then set validation, then provisioning.
 	n := len(sc.Tasks)

@@ -220,7 +220,7 @@ func (g *Generator) buildScenario(i int, ax *Axes) (*scenario.Scenario, int, err
 			continue
 		}
 		sc := g.toScenario(i, ax, sp)
-		if _, _, _, err := sc.Build(); err != nil {
+		if _, _, _, err := sc.BuildTiming(); err != nil {
 			lastErr = err
 			continue
 		}

@@ -136,7 +136,7 @@ func (o *Oracle) evaluate(ctx context.Context, sc *scenario.Scenario) Outcome {
 	ins := instr.Load()
 	var out Outcome
 	sc = sc.Canonicalize()
-	set, plat, pol, err := sc.Build()
+	set, plat, pol, err := sc.BuildTiming()
 	if err != nil {
 		if ctx.Err() != nil {
 			out.canceled = true

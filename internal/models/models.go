@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"rtmdm/internal/nn"
 )
@@ -281,11 +282,40 @@ func Names() []string {
 	return names
 }
 
-// Build constructs a zoo model by name.
+// Build constructs a zoo model by name, with the synthetic weights the
+// seed selects.
 func Build(name string, seed int64) (*nn.Model, error) {
 	info, ok := catalog[name]
 	if !ok {
-		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+		return nil, unknownModel(name)
 	}
 	return info.Build(seed), nil
+}
+
+// topologies holds one seed-1 build per zoo name, built on first use.
+var topologies = sync.OnceValue(func() map[string]*nn.Model {
+	out := make(map[string]*nn.Model, len(catalog))
+	for name, info := range catalog {
+		out[name] = info.Build(1)
+	}
+	return out
+})
+
+// Topology returns a shared build of the zoo model for timing-only
+// callers. The weight seed changes only weight values and per-channel
+// weight scales, never a layer's name, geometry, ParamBytes or MACs, so
+// analysis, segmentation and simulation give the same figures on it as on
+// Build(name, seed) for any seed, without drawing a fresh weight stream
+// per call. The model carries seed-1 weights, is shared by every caller
+// and must not be modified.
+func Topology(name string) (*nn.Model, error) {
+	m, ok := topologies()[name]
+	if !ok {
+		return nil, unknownModel(name)
+	}
+	return m, nil
+}
+
+func unknownModel(name string) error {
+	return fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 }

@@ -32,7 +32,9 @@ type TaskSpec struct {
 	// ModelFile points at a binary model artifact (see nn.Save / the
 	// rtmdm-inspect -export flag). Mutually exclusive with Model.
 	ModelFile string `json:"model_file,omitempty"`
-	// Seed selects the synthetic weights (default 1).
+	// Seed selects the synthetic weights (default 1). Timing does not
+	// depend on it: tasks differing only in Seed analyze and simulate
+	// identically, and BuildTiming ignores it.
 	Seed int64 `json:"seed,omitempty"`
 	// PeriodMs is the release period in milliseconds.
 	PeriodMs float64 `json:"period_ms"`
@@ -170,10 +172,37 @@ func (sc *Scenario) FaultPlan() (*fault.Plan, error) {
 	return plan, nil
 }
 
-// Build instantiates the scenario: models are built and segmented under
-// the policy's limits, priorities are pinned or assigned rate-monotonic,
-// and SRAM provisioning is verified.
+// Build instantiates the scenario: models are built (each zoo model with
+// the weights its seed selects) and segmented under the policy's limits,
+// priorities are pinned or assigned rate-monotonic, and SRAM provisioning
+// is verified. Every task owns its model, so the set can be executed,
+// saved or modified.
 func (sc *Scenario) Build() (*task.Set, cost.Platform, core.Policy, error) {
+	return sc.build(seededModel)
+}
+
+// BuildTiming is Build for callers that only analyze or simulate timing:
+// zoo tasks share models.Topology's models instead of building their own,
+// so the seed plays no part and no weights are generated. The verdicts,
+// plans and simulations equal Build's; the models must not be modified.
+func (sc *Scenario) BuildTiming() (*task.Set, cost.Platform, core.Policy, error) {
+	return sc.build(topologyModel)
+}
+
+// zooModel resolves a zoo task spec's model.
+type zooModel func(tsp TaskSpec) (*nn.Model, error)
+
+func seededModel(tsp TaskSpec) (*nn.Model, error) {
+	seed := tsp.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return models.Build(tsp.Model, seed)
+}
+
+func topologyModel(tsp TaskSpec) (*nn.Model, error) { return models.Topology(tsp.Model) }
+
+func (sc *Scenario) build(zoo zooModel) (*task.Set, cost.Platform, core.Policy, error) {
 	if err := sc.ValidateNumbers(); err != nil {
 		return nil, cost.Platform{}, core.Policy{}, err
 	}
@@ -185,7 +214,7 @@ func (sc *Scenario) Build() (*task.Set, cost.Platform, core.Policy, error) {
 	pinned := 0
 	var ts []*task.Task
 	for _, tsp := range sc.Tasks {
-		tk, err := BuildTask(tsp, plat, lim)
+		tk, err := buildTask(tsp, plat, lim, zoo)
 		if err != nil {
 			return nil, plat, pol, err
 		}
@@ -211,16 +240,20 @@ func (sc *Scenario) Build() (*task.Set, cost.Platform, core.Policy, error) {
 }
 
 // BuildTask instantiates one task spec under a platform and segmentation
-// limits: the model is built (zoo name + seed) or loaded (model_file),
-// segmented greedily under lim, and wrapped in a task with converted
-// timing. A pinned Priority is applied; rate-monotonic assignment over a
-// whole set remains the caller's job. This is Build's per-task body,
-// extracted so the admission hot path (internal/analysis) can build and
-// cache tasks one at a time with error behavior identical to Build's.
-// Note lim normally comes from pol.Limits(plat, n): segment budgets
-// depend on the task COUNT of the surrounding set, so a cached build is
-// only reusable at the same n.
+// limits: the model is looked up (zoo name, via models.Topology) or
+// loaded (model_file), segmented greedily under lim, and wrapped in a
+// task with converted timing. A pinned Priority is applied;
+// rate-monotonic assignment over a whole set remains the caller's job.
+// This is BuildTiming's per-task body, extracted so the admission hot
+// path (internal/analysis) can build and cache tasks one at a time with
+// error behavior identical to BuildTiming's. Note lim normally comes from
+// pol.Limits(plat, n): segment budgets depend on the task COUNT of the
+// surrounding set, so a cached build is only reusable at the same n.
 func BuildTask(tsp TaskSpec, plat cost.Platform, lim segment.Limits) (*task.Task, error) {
+	return buildTask(tsp, plat, lim, topologyModel)
+}
+
+func buildTask(tsp TaskSpec, plat cost.Platform, lim segment.Limits, zoo zooModel) (*task.Task, error) {
 	if tsp.PeriodMs <= 0 {
 		return nil, fmt.Errorf("scenario: task %s: period %v ms", tsp.Name, tsp.PeriodMs)
 	}
@@ -239,12 +272,8 @@ func BuildTask(tsp TaskSpec, plat cost.Platform, lim segment.Limits) (*task.Task
 			return nil, fmt.Errorf("scenario: task %s: %w", tsp.Name, err)
 		}
 	case tsp.Model != "":
-		seed := tsp.Seed
-		if seed == 0 {
-			seed = 1
-		}
 		var err error
-		m, err = models.Build(tsp.Model, seed)
+		m, err = zoo(tsp)
 		if err != nil {
 			return nil, err
 		}

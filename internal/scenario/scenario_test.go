@@ -5,11 +5,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rtmdm/internal/core"
 	"rtmdm/internal/models"
+	"rtmdm/internal/nn"
 	"rtmdm/internal/sim"
 )
 
@@ -68,6 +70,58 @@ func TestParseAndBuild(t *testing.T) {
 		if tk.Name != "kws" {
 			t.Fatalf("most urgent is %s", tk.Name)
 		}
+	}
+}
+
+// TestBuildSeededBuildTimingShared pins the split between the two build
+// paths: Build gives every zoo task its own model with the weights its
+// seed selects (what executing or saving a model needs), BuildTiming
+// hands out the shared models.Topology models, and both segment alike.
+func TestBuildSeededBuildTimingShared(t *testing.T) {
+	sc, err := Parse([]byte(`{"tasks":[
+		{"name":"a","model":"ds-cnn","period_ms":50},
+		{"name":"b","model":"ds-cnn","seed":2,"period_ms":60},
+		{"name":"c","model":"lenet5","seed":9,"period_ms":70}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, _, _, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing, _, _, err := sc.BuildTiming()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[string]int64{"a": 1, "b": 2, "c": 9}
+	firstConv := func(m *nn.Model) []int8 { return m.Nodes[0].Layer.(*nn.Conv2D).Weights }
+	for i, tk := range seeded.Tasks {
+		tt := timing.Tasks[i]
+		spec := sc.Tasks[i]
+		topo, err := models.Topology(spec.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.Plan.Model != topo {
+			t.Errorf("%s: BuildTiming did not use the shared topology", tk.Name)
+		}
+		if tk.Plan.Model == topo {
+			t.Errorf("%s: Build handed out the shared topology", tk.Name)
+		}
+		want, err := models.Build(spec.Model, seeds[spec.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(firstConv(tk.Plan.Model), firstConv(want)) {
+			t.Errorf("%s: Build's weights are not seed %d's", tk.Name, seeds[spec.Name])
+		}
+		if !reflect.DeepEqual(tk.Plan.Segments, tt.Plan.Segments) || tk.Period != tt.Period {
+			t.Errorf("%s: Build and BuildTiming segment differently", tk.Name)
+		}
+	}
+	if reflect.DeepEqual(firstConv(seeded.Tasks[0].Plan.Model), firstConv(seeded.Tasks[1].Plan.Model)) {
+		t.Fatal("seeds 1 and 2 built the same weights")
 	}
 }
 

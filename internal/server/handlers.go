@@ -84,7 +84,7 @@ func analyzeOne(ctx context.Context, sc *scenario.Scenario, policy string) Polic
 	res := PolicyResult{Policy: policy}
 	cand := *sc
 	cand.Policy = policy
-	set, plat, pol, err := cand.Build()
+	set, plat, pol, err := cand.BuildTiming()
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -162,7 +162,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // marshals the summary. The run itself is deterministic, which is what
 // licenses caching the marshaled bytes.
 func simulateScenario(ctx context.Context, sc *scenario.Scenario, hash string, includeTrace bool) ([]byte, error) {
-	set, plat, pol, err := sc.Build()
+	set, plat, pol, err := sc.BuildTiming()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -198,22 +199,38 @@ func TestInstantiateEmptySpecFails(t *testing.T) {
 }
 
 func TestCacheReturnsEquivalentModels(t *testing.T) {
-	a, err := cachedModel("ds-cnn", 5)
+	plat := cost.STM32H743
+	lim := core.RTMDM().Limits(plat, 2)
+	a, err := cachedPlan("ds-cnn", plat, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cachedModel("ds-cnn", 5)
+	b, err := cachedPlan("ds-cnn", plat, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("cache did not reuse the model instance")
+		t.Fatal("plan cache did not reuse the plan")
+	}
+	topo, err := models.Topology("ds-cnn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Model != topo {
+		t.Fatal("cached plan is not on the shared zoo model")
 	}
 	fresh, err := models.Build("ds-cnn", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.TotalParamBytes() != a.TotalParamBytes() {
-		t.Fatal("cached model differs from fresh build")
+	want, err := segment.BuildLimits(fresh, plat, lim, segment.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Segments, want.Segments) {
+		t.Fatal("cached plan differs from a fresh seeded build's")
+	}
+	if _, err := cachedPlan("nope", plat, lim); err == nil {
+		t.Fatal("unknown model accepted")
 	}
 }

@@ -6,7 +6,9 @@
 #   1. Scaling — the same seed-deterministic workload against 1 shard
 #      and against 4 shards (each pinned to one core via GOMAXPROCS=1)
 #      must speed up by at least CLUSTER_SMOKE_MIN_SCALE (default 2.5;
-#      override on machines with fewer than ~5 cores).
+#      override on machines with fewer than ~5 cores). The scaling runs
+#      commit 48 tasks per node, so admission analysis, not the HTTP
+#      hops through the gateway, is most of the CPU a request costs.
 #   2. Fairness + determinism — two fresh seeded runs with weighted
 #      tenants produce byte-identical sorted per-shard admission logs,
 #      and the JSON report shows the weight-3 tenant carrying more
@@ -113,12 +115,13 @@ loadgen() { # GWPORT NSHARDS extra args...
 }
 
 echo "=== cluster smoke: scaling (1 shard vs 4 shards) ==="
+scale_fill=48
 start_cluster "$workdir/run-s1" 1 18210 18300
-loadgen 18300 1 -json "$workdir/r1.json"
+loadgen 18300 1 -cluster-fill "$scale_fill" -json "$workdir/r1.json"
 stop_cluster "$workdir/run-s1"
 
 start_cluster "$workdir/run-s4" 4 18220 18301
-loadgen 18301 4 -json "$workdir/r4.json"
+loadgen 18301 4 -cluster-fill "$scale_fill" -json "$workdir/r4.json"
 stop_cluster "$workdir/run-s4"
 
 rps1="$(jq .total.rps "$workdir/r1.json")"

@@ -3,13 +3,20 @@
 # axis covered) with the differential soundness oracle and require
 #   1. zero violations and zero generate errors at N workers,
 #   2. a byte-identical manifest when the same sweep runs at 1 worker
-#      (the determinism contract from docs/CORPUS.md §4),
+#      (the determinism contract from docs/CORPUS.md §4), whose sha256
+#      equals the committed pin below,
 #   3. that the oracle is live: with -inject-bug the sweep MUST trip
 #      violations, otherwise a refactor has short-circuited the check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
+
+# sha256 of the smoke spec's manifest. It changes only with a deliberate
+# change to the manifest (a rtmdm-corpus-manifest-vN domain bump) or to
+# published verdicts; update it in the same commit, as docs/CORPUS.md §4
+# describes.
+want_manifest_sha256=0185df7f3f410684ff272e331163518745c4e8104d53a1bbb4bc92e12ff64f60
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -36,6 +43,17 @@ if ! cmp -s "$workdir/manifest-par.txt" "$workdir/manifest-seq.txt"; then
     diff "$workdir/manifest-seq.txt" "$workdir/manifest-par.txt" | head -20 >&2
     exit 1
 fi
+
+if command -v sha256sum >/dev/null 2>&1; then
+    got_manifest_sha256=$(sha256sum "$workdir/manifest-seq.txt" | cut -d' ' -f1)
+else
+    got_manifest_sha256=$(shasum -a 256 "$workdir/manifest-seq.txt" | cut -d' ' -f1)
+fi
+if [ "$got_manifest_sha256" != "$want_manifest_sha256" ]; then
+    echo "corpus-smoke: manifest sha256 $got_manifest_sha256, pinned $want_manifest_sha256" >&2
+    exit 1
+fi
+echo "corpus-smoke: manifest sha256 matches the pin"
 
 echo "corpus-smoke: oracle liveness (-inject-bug must trip violations)"
 "$workdir/rtmdm-corpus" -preset smoke -count 200 -workers "$workers" -inject-bug
